@@ -6,11 +6,13 @@ identical outputs:
 
 * ``naive``       — list-intersection enumeration (the pre-[8] style),
 * ``scalar``      — vertex-priority wedge processing (dict inner loops),
-* ``vectorized``  — the same traversal with numpy frontier batching.
+* ``vectorized``  — the same traversal as one sort-based wedge pass
+  (:mod:`repro.butterfly.vectorized`).
 
 Expected shape: scalar beats naive everywhere (the [8] claim); vectorized
-wins on dense graphs with large two-hop frontiers and loses slightly on
-sparse-row graphs where per-vertex numpy overhead dominates.
+beats scalar on every graph here, sparse rows included, because the pass
+runs no Python loop per start or middle vertex (measured 9x dense-er,
+12x skewed-cl, 10x sparse-cl on a 2-core Intel Xeon VM).
 """
 
 import time
@@ -83,8 +85,8 @@ def test_counting_ablation_report(benchmark):
     ]
     lines = [
         "Ablation: butterfly-counting implementations (seconds)",
-        "expected: scalar (vertex-priority, [8]) < naive; vectorized wins",
-        "on dense frontiers and loses slightly on sparse rows",
+        "expected: scalar (vertex-priority, [8]) < naive; vectorized",
+        "fastest on every graph, sparse rows included",
         "",
     ]
     lines += format_table(["graph"] + list(COUNTERS), rows)

@@ -41,7 +41,7 @@ to scalar BiT-BU (Lemma 9 makes batch assignment safe).
 
 Tiny buckets fall back to a scalar walk over the same arrays
 (``scalar_cutoff``): a two-edge batch does not amortize numpy call
-overhead, the exact crossover the counting ablation already measured.
+overhead.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.butterfly.vectorized import gather_two_hop
+from repro.butterfly.vectorized import BuildShard, build_shard_on_arrays
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs import phases as obs_phases
 from repro.utils.bucket_queue import BucketQueue
@@ -164,96 +164,6 @@ def peel_region(
                         if other != edge and other in queue:
                             charge(other, 1)
     return phi
-
-
-#: One shard of the flat-array BE-Index under construction: the partial
-#: per-edge supports contributed by a contiguous start-vertex range plus the
-#: wedge pairs discovered there (bloom ids numbered locally from 0).
-BuildShard = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def build_shard_on_arrays(
-    indptr: np.ndarray,
-    neighbors: np.ndarray,
-    edge_ids: np.ndarray,
-    row_prios: np.ndarray,
-    prio: np.ndarray,
-    num_edges: int,
-    start_lo: int,
-    start_hi: int,
-) -> BuildShard:
-    """Algorithm 3 over one start-vertex range, on raw gid-CSR arrays.
-
-    The construction kernel underneath :meth:`CSRPeelingEngine.build`,
-    phrased over arrays (not a graph object) so shared-memory workers can
-    run it against attached views.  Returns
-    ``(support, pair_e1, pair_e2, pair_bloom, bloom_k)`` where ``support``
-    is the full-length partial support array and ``pair_bloom`` numbers
-    blooms locally from 0 in discovery order.  Because maximal
-    priority-obeyed blooms are anchored at exactly one start vertex,
-    shards over a disjoint range partition compose losslessly: summing
-    supports and concatenating pair/bloom arrays in ascending range order
-    (with bloom-id offsets) reproduces the sequential build bit for bit.
-    """
-    support = np.zeros(num_edges, dtype=np.int64)
-    pair_e1_parts: List[np.ndarray] = []
-    pair_e2_parts: List[np.ndarray] = []
-    pair_bloom_parts: List[np.ndarray] = []
-    bloom_k_parts: List[np.ndarray] = []
-    next_bloom = 0
-
-    for start in range(start_lo, start_hi):
-        frontier = gather_two_hop(
-            indptr, neighbors, edge_ids, row_prios, start, prio[start]
-        )
-        if frontier is None:
-            continue
-        ends, end_edges, wedge_mid_edge = frontier
-
-        # Group the wedges of this start by end vertex: each group of
-        # size k >= 2 is one maximal priority-obeyed bloom.
-        order = np.argsort(ends, kind="stable")
-        sorted_ends = ends[order]
-        sorted_end_edges = end_edges[order]
-        sorted_mid_edges = wedge_mid_edge[order]
-        boundary = np.empty(len(sorted_ends), dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_ends[1:], sorted_ends[:-1], out=boundary[1:])
-        run_ids = np.cumsum(boundary) - 1
-        run_starts = np.nonzero(boundary)[0]
-        run_lengths = np.diff(np.append(run_starts, len(sorted_ends)))
-
-        k_per_wedge = run_lengths[run_ids]
-        active = k_per_wedge >= 2
-        if not active.any():
-            continue
-        contrib = k_per_wedge[active] - 1
-        np.add.at(support, sorted_end_edges[active], contrib)
-        np.add.at(support, sorted_mid_edges[active], contrib)
-
-        run_is_active = run_lengths >= 2
-        bloom_of_run = np.full(len(run_lengths), -1, dtype=np.int64)
-        n_active = int(run_is_active.sum())
-        bloom_of_run[run_is_active] = next_bloom + np.arange(
-            n_active, dtype=np.int64
-        )
-        next_bloom += n_active
-
-        pair_e1_parts.append(sorted_mid_edges[active])
-        pair_e2_parts.append(sorted_end_edges[active])
-        pair_bloom_parts.append(bloom_of_run[run_ids[active]])
-        bloom_k_parts.append(run_lengths[run_is_active])
-
-    empty = np.empty(0, dtype=np.int64)
-    if pair_bloom_parts:
-        return (
-            support,
-            np.concatenate(pair_e1_parts),
-            np.concatenate(pair_e2_parts),
-            np.concatenate(pair_bloom_parts),
-            np.concatenate(bloom_k_parts),
-        )
-    return support, empty, empty, empty, empty
 
 
 def _gather_rows(

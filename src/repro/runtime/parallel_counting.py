@@ -2,9 +2,10 @@
 
 Both operations shard the same way: the start-vertex space is split into
 contiguous ranges (several per worker, so a hub-heavy range cannot straggle
-the pool), each range runs the corresponding vectorized kernel against the
-worker's zero-copy view of the published CSR arrays, and the parent merges
-the shard results deterministically in ascending range order:
+the pool), each range runs the one wedge pass of
+:mod:`repro.butterfly.vectorized` against the worker's zero-copy view of the
+published CSR arrays, and the parent merges the shard results
+deterministically in ascending range order:
 
 * **counting** — partial support arrays sum (integer contributions are per
   start vertex, so any summation order is exact);
@@ -25,12 +26,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.butterfly.vectorized import count_range_on_arrays
-from repro.core.peeling_engine import (
+from repro.butterfly.vectorized import (
     BuildShard,
-    CSRPeelingEngine,
     build_shard_on_arrays,
+    count_range_on_arrays,
 )
+from repro.core.peeling_engine import CSRPeelingEngine
 from repro.runtime.pool import ParallelRuntime, attached_views
 from repro.runtime.shm import ArenaManifest
 
