@@ -4,10 +4,10 @@ The dict-based :class:`~repro.index.be_index.BEIndex` walks Python
 dictionaries edge by edge.  This module stores the *same* index — maximal
 priority-obeyed blooms, their wedge pairs, and the edge↔bloom links — as a
 handful of flat numpy arrays (a structure-of-arrays BE-Index), and peels the
-graph **one support level at a time**: the entire current minimum-support
-bucket is pulled from the queue at once and the support losses of every
-affected edge are computed for the whole batch with vectorized gathers,
-``np.unique`` and ``np.add.at`` against the arrays.
+graph **one batch of minimum-support edges at a time**, with no Python queue:
+batches are selected on the ``support`` array, and the support losses of
+every affected edge are computed for the whole batch with vectorized
+gathers, ``np.unique`` and ``np.add.at`` against the arrays.
 
 Layout
 ------
@@ -27,26 +27,32 @@ array           meaning
 ``b_indptr``    CSR: bloom -> its pair ids (``b_pair``)
 ==============  =======================================================
 
+Level selection
+---------------
+A new level takes the minimum support ``MBS`` over a compacted array of the
+still-unpeeled edges; its first batch is every unpeeled edge at ``MBS``.
+Each batch step returns the edges its losses dropped to ``MBS`` — the next
+batch of the same level — and only an empty one triggers a rescan.  Those
+are exactly the batches :meth:`BucketQueue.pop_min_batch` would pop, so the
+per-(edge, batch) update count is that of a queue-driven peel.
+
 Batch semantics
 ---------------
-A batch step reproduces Algorithm 5 (BiT-BU++) exactly — pass 1 detaches
-every batch member and charges each live external twin ``k − 1``; pass 2
-charges every surviving edge of a touched bloom the bloom's removed-pair
-count ``C(B*)`` and shrinks ``k`` — with both passes evaluated as array
-operations.  Because all updates inside one batch share the same floor
-(the batch's minimum support ``MBS``), the sequential floored subtractions
-of the scalar algorithm collapse into a single floored subtraction of the
-accumulated loss, so the resulting bitruss numbers are bitwise identical
-to scalar BiT-BU (Lemma 9 makes batch assignment safe).
-
-Tiny buckets fall back to a scalar walk over the same arrays
-(``scalar_cutoff``): a two-edge batch does not amortize numpy call
-overhead.
+Every batch, whatever its size, takes the same array step, which
+reproduces Algorithm 5 (BiT-BU++) exactly — pass 1 detaches every batch
+member and charges each live external twin ``k − 1``; pass 2 charges every
+surviving edge of a touched bloom the bloom's removed-pair count ``C(B*)``
+and shrinks ``k`` — with both passes evaluated as array operations.
+Because all updates inside one batch share the same floor (the batch's
+minimum support ``MBS``), the sequential floored subtractions of the scalar
+algorithm collapse into a single floored subtraction of the accumulated
+loss, so the resulting bitruss numbers are bitwise identical to scalar
+BiT-BU (Lemma 9 makes batch assignment safe).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -342,12 +348,7 @@ class CSRPeelingEngine:
 
     # ------------------------------------------------------------- peeling
 
-    def peel(
-        self,
-        *,
-        counter: Optional[UpdateCounter] = None,
-        scalar_cutoff: int = 24,
-    ) -> np.ndarray:
+    def peel(self, *, counter: Optional[UpdateCounter] = None) -> np.ndarray:
         """Bottom-up batch peeling; returns the bitruss number of every edge.
 
         Parameters
@@ -355,10 +356,6 @@ class CSRPeelingEngine:
         counter:
             Optional :class:`~repro.utils.stats.UpdateCounter`; one update is
             recorded per (edge, batch) support change.
-        scalar_cutoff:
-            Batches of at most this many edges take the scalar array walk
-            (numpy per-call overhead dominates tiny batches); larger batches
-            take the vectorized path.  ``0`` forces vectorized everywhere.
 
         Returns
         -------
@@ -366,166 +363,123 @@ class CSRPeelingEngine:
             ``phi`` with ``phi[e]`` the bitruss number of edge ``e`` —
             bitwise identical to scalar BiT-BU's output.
         """
+        return self._peel_levels(self._peel_batch, counter)
+
+    def _peel_levels(
+        self,
+        step: Callable[
+            [np.ndarray, int, Optional[UpdateCounter], np.ndarray], np.ndarray
+        ],
+        counter: Optional[UpdateCounter],
+    ) -> np.ndarray:
+        """The level-selection loop shared by every peel of this engine.
+
+        A new level takes the minimum support ``mbs`` over the compacted
+        array of still-unpeeled edges, and its first batch is every
+        unpeeled edge at ``mbs``.  ``step(batch, mbs, counter, peeled)``
+        peels one batch (already marked in ``peeled``) and returns the
+        edges its losses dropped to ``mbs``; those form the next batch of
+        the same level, and only an empty one triggers a rescan.  The
+        batches are exactly the sets :meth:`BucketQueue.pop_min_batch`
+        would pop, so φ and the update count match a queue-driven peel.
+        """
         phi = np.zeros(self.num_edges, dtype=np.int64)
-        if self.num_edges == 0:
-            return phi
-        queue = BucketQueue.from_keys(self.support)
-        in_batch = np.zeros(self.num_edges, dtype=bool)
-        while not queue.is_empty():
-            batch, mbs = queue.pop_min_batch()
-            phi[batch] = mbs
-            if len(batch) <= scalar_cutoff:
-                with obs_phases.phase("scalar batches"):
-                    self._peel_batch_scalar(batch, mbs, queue, counter)
-            else:
-                with obs_phases.phase("vectorized batches"):
-                    self._peel_batch_vectorized(
-                        batch, mbs, queue, counter, in_batch
-                    )
-        return phi
+        peeled = np.zeros(self.num_edges, dtype=bool)
+        live = np.arange(self.num_edges, dtype=np.int64)
+        batch = live[:0]
+        mbs = 0
+        while True:
+            # One phase entry per batch: the level scan is timed with the
+            # batch it selects, so the phase tree covers the whole peel.
+            with obs_phases.phase("batch step"):
+                if not len(batch):
+                    live = live[~peeled[live]]
+                    if not len(live):
+                        return phi
+                    live_support = self.support[live]
+                    mbs = int(live_support.min())
+                    batch = live[live_support == mbs]
+                phi[batch] = mbs
+                peeled[batch] = True
+                batch = step(batch, mbs, counter, peeled)
 
-    def _peel_batch_scalar(
+    def _peel_batch(
         self,
-        batch: List[int],
+        batch: np.ndarray,
         mbs: int,
-        queue: BucketQueue,
         counter: Optional[UpdateCounter],
-    ) -> None:
-        """Small-batch fallback: same two passes, plain Python loops."""
-        batch_set = set(batch)
-        e_indptr = self.e_indptr
-        e_pair = self.e_pair
-        pair_alive = self.pair_alive
-        pair_bloom = self.pair_bloom
-        pair_e1 = self.pair_e1
-        pair_e2 = self.pair_e2
-        bloom_k = self.bloom_k
-        removed: Dict[int, int] = {}
-        loss: Dict[int, int] = {}
-        for edge in batch:
-            for slot in range(int(e_indptr[edge]), int(e_indptr[edge + 1])):
-                pair = int(e_pair[slot])
-                if not pair_alive[pair]:
-                    continue
-                bloom = int(pair_bloom[pair])
-                k = int(bloom_k[bloom])
-                if k < 2:
-                    continue
-                pair_alive[pair] = False
-                removed[bloom] = removed.get(bloom, 0) + 1
-                e1 = int(pair_e1[pair])
-                twin = int(pair_e2[pair]) if e1 == edge else e1
-                if twin not in batch_set:
-                    loss[twin] = loss.get(twin, 0) + k - 1
-        b_indptr = self.b_indptr
-        b_pair = self.b_pair
-        for bloom, c_removed in removed.items():
-            for slot in range(int(b_indptr[bloom]), int(b_indptr[bloom + 1])):
-                pair = int(b_pair[slot])
-                if pair_alive[pair]:
-                    e1 = int(pair_e1[pair])
-                    e2 = int(pair_e2[pair])
-                    loss[e1] = loss.get(e1, 0) + c_removed
-                    loss[e2] = loss.get(e2, 0) + c_removed
-            bloom_k[bloom] -= c_removed
-        support = self.support
-        for edge, total in loss.items():
-            new_value = max(mbs, int(support[edge]) - total)
-            if new_value != support[edge]:
-                support[edge] = new_value
-                queue.update(edge, new_value)
-                if counter is not None:
-                    counter.record(edge)
+        peeled: np.ndarray,
+    ) -> np.ndarray:
+        """Whole-batch update via gathers, ``np.unique`` and ``np.add.at``.
 
-    def _peel_batch_vectorized(
-        self,
-        batch: List[int],
-        mbs: int,
-        queue: BucketQueue,
-        counter: Optional[UpdateCounter],
-        in_batch: np.ndarray,
-    ) -> None:
-        """Whole-bucket update via gathers, ``np.unique`` and ``np.add.at``."""
-        batch_arr = np.asarray(batch, dtype=np.int64)
-        in_batch[batch_arr] = True
-        try:
-            links, owner = _gather_rows(self.e_indptr, self.e_pair, batch_arr)
-            if not len(links):
-                return
-            alive = self.pair_alive[links] & (
-                self.bloom_k[self.pair_bloom[links]] >= 2
-            )
-            links = links[alive]
-            owner = owner[alive]
-            if not len(links):
-                return
-            # Pass 1 — detach.  A pair with both endpoints in the batch
-            # appears twice in `links`; np.unique counts it once (exactly the
-            # "twin already severed" skip of the scalar algorithm).
-            twin = np.where(
-                self.pair_e1[links] == owner, self.pair_e2[links], self.pair_e1[links]
-            )
-            removed_pairs = np.unique(links)
-            touched, c_removed = np.unique(
-                self.pair_bloom[removed_pairs], return_counts=True
-            )
-            # Losses are accumulated sparsely — (edge, amount) fragments —
-            # so a batch only ever touches O(affected) memory, never O(m).
-            loss_edges: List[np.ndarray] = []
-            loss_values: List[np.ndarray] = []
-            external = ~in_batch[twin]
-            if external.any():
-                loss_edges.append(twin[external])
-                loss_values.append(
-                    self.bloom_k[self.pair_bloom[links[external]]] - 1
-                )
-            self.pair_alive[removed_pairs] = False
-            # Pass 2 — every surviving pair of a touched bloom charges both
-            # of its edges the bloom's removed-pair count C(B*).
-            pairs_g, bloom_of_g = _gather_rows(self.b_indptr, self.b_pair, touched)
-            if len(pairs_g):
-                surviving = self.pair_alive[pairs_g]
-                pairs_s = pairs_g[surviving]
-                # `touched` is sorted (np.unique), so the bloom -> C(B*)
-                # lookup is a searchsorted, not an O(num_blooms) scatter.
-                charge_s = c_removed[
-                    np.searchsorted(touched, bloom_of_g[surviving])
-                ]
-                loss_edges.append(self.pair_e1[pairs_s])
-                loss_values.append(charge_s)
-                loss_edges.append(self.pair_e2[pairs_s])
-                loss_values.append(charge_s)
-            self.bloom_k[touched] -= c_removed
-            self._apply_losses(loss_edges, loss_values, mbs, queue, counter)
-        finally:
-            in_batch[batch_arr] = False
+        ``peeled`` already includes ``batch``.  A live pair never has an
+        endpoint peeled in an earlier batch (peeling an edge detaches all
+        its live pairs), so ``peeled[twin]`` tests batch membership.
+        Returns the next batch of level ``mbs`` (see :meth:`_apply_losses`).
+        """
+        links, owner = _gather_rows(self.e_indptr, self.e_pair, batch)
+        alive = self.pair_alive[links] & (self.bloom_k[self.pair_bloom[links]] >= 2)
+        links = links[alive]
+        owner = owner[alive]
+        if not len(links):
+            return links
+        # Pass 1 — detach.  A pair with both endpoints in the batch appears
+        # twice in `links`; np.unique counts it once (exactly the "twin
+        # already severed" skip of the scalar algorithm).
+        twin = np.where(
+            self.pair_e1[links] == owner, self.pair_e2[links], self.pair_e1[links]
+        )
+        removed_pairs = np.unique(links)
+        touched, c_removed = np.unique(
+            self.pair_bloom[removed_pairs], return_counts=True
+        )
+        # Losses are accumulated sparsely — (edge, amount) fragments — so a
+        # batch only ever touches O(affected) memory, never O(m).
+        external = ~peeled[twin]
+        twin_edges = twin[external]
+        twin_loss = self.bloom_k[self.pair_bloom[links[external]]] - 1
+        self.pair_alive[removed_pairs] = False
+        # Pass 2 — every surviving pair of a touched bloom charges both of
+        # its edges the bloom's removed-pair count C(B*).
+        pairs_g, bloom_of_g = _gather_rows(self.b_indptr, self.b_pair, touched)
+        surviving = self.pair_alive[pairs_g]
+        pairs_s = pairs_g[surviving]
+        # `touched` is sorted (np.unique), so the bloom -> C(B*) lookup is a
+        # searchsorted, not an O(num_blooms) scatter.
+        charge_s = c_removed[np.searchsorted(touched, bloom_of_g[surviving])]
+        self.bloom_k[touched] -= c_removed
+        return self._apply_losses(
+            [twin_edges, self.pair_e1[pairs_s], self.pair_e2[pairs_s]],
+            [twin_loss, charge_s, charge_s],
+            mbs,
+            counter,
+        )
 
     def _apply_losses(
         self,
         loss_edges: List[np.ndarray],
         loss_values: List[np.ndarray],
         mbs: int,
-        queue: BucketQueue,
         counter: Optional[UpdateCounter],
-    ) -> None:
+    ) -> np.ndarray:
         """Merge (edge, amount) loss fragments and apply them, floored at
         the batch minimum ``mbs`` — one ``np.add.at`` regardless of how the
         fragments were produced.  Shared by the in-process batch step and
         the sharded waves of :mod:`repro.runtime.parallel_peeling`, so the
-        bitwise-identity guarantee between the two cannot drift."""
-        if not loss_edges:
-            return
+        bitwise-identity guarantee between the two cannot drift.
+
+        Returns the edges whose support dropped to ``mbs``: every other
+        unpeeled edge was above ``mbs`` before the batch, so these are all
+        the unpeeled edges at ``mbs`` — the next batch of the level.
+        """
         edges_cat = np.concatenate(loss_edges)
         values_cat = np.concatenate(loss_values)
         changed, inverse = np.unique(edges_cat, return_inverse=True)
         totals = np.zeros(len(changed), dtype=np.int64)
         np.add.at(totals, inverse, values_cat)
-        new_values = np.maximum(mbs, self.support[changed] - totals)
-        moved = new_values != self.support[changed]
+        old_values = self.support[changed]
+        new_values = np.maximum(mbs, old_values - totals)
         self.support[changed] = new_values
-        for edge, value in zip(
-            changed[moved].tolist(), new_values[moved].tolist()
-        ):
-            queue.update(edge, value)
-            if counter is not None:
-                counter.record(edge)
+        if counter is not None:
+            counter.record_many(changed[new_values != old_values])
+        return changed[new_values == mbs]

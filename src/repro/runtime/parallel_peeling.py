@@ -1,28 +1,29 @@
 """Level-synchronous parallel bitruss peeling (BiT-BU-PAR).
 
 The CSR batch engine (:mod:`repro.core.peeling_engine`) already peels one
-support level at a time; this module shards the two heavy passes of each
-level across the runtime's worker pool while the parent keeps sole
+batch of minimum-support edges at a time; this module runs the engine's
+own level-selection loop and shards the two heavy passes of each large
+batch across the runtime's worker pool, while the parent keeps sole
 ownership of all mutations — a classic level-synchronous design:
 
-1. **Wave 1 (detach scan, sharded)** — the level's batch is cut into
-   contiguous chunks; each worker gathers its chunk's live wedge-pair links
-   and returns ``(links, twin edge, k-1 charge)`` fragments.  The parent
+1. **Wave 1 (detach scan, sharded)** — the batch is cut into contiguous
+   chunks; each worker gathers its chunk's live wedge-pair links and
+   returns ``(links, twin edge, k-1 charge)`` fragments.  The parent
    merges them, derives the removed-pair set and per-bloom removal counts
    with ``np.unique``, and flips ``pair_alive`` **in shared memory**.
 2. **Wave 2 (bloom scan, sharded)** — touched blooms are cut into chunks;
    each worker walks its blooms' surviving pairs (reading the liveness the
    parent just wrote — same physical pages) and returns ``C(B*)`` charge
    fragments.
-3. **Apply (parent only)** — all loss fragments accumulate with one
-   ``np.add.at``, supports floor at the level's minimum ``MBS`` and the
-   bucket queue advances.
+3. **Apply (parent only)** — the engine's ``_apply_losses`` merges all
+   loss fragments with one ``np.add.at``, floors supports at the level's
+   minimum ``MBS`` and returns the next batch of the level.
 
 Every merge is an order-independent integer sum over ``np.unique`` keys, so
 φ is **bitwise identical** to ``bit-bu-csr`` (and therefore to scalar
-BiT-BU) regardless of worker count or chunk boundaries.  Small levels skip
+BiT-BU) regardless of worker count or chunk boundaries.  Small batches skip
 the pool entirely (``shard_cutoff``) — IPC cannot amortize a three-edge
-batch — falling back to the engine's own scalar/vectorized batch steps.
+batch — and take the engine's in-process batch step.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.obs import phases as obs_phases
 from repro.runtime.pool import ParallelRuntime, attached_views
 from repro.runtime.shm import ArenaManifest
-from repro.utils.bucket_queue import BucketQueue
 from repro.utils.stats import IndexSizeModel, PhaseTimer, UpdateCounter
 
 #: Keys of the engine arrays published for the peeling waves.
@@ -107,10 +107,12 @@ def parallel_peel(
     runtime: ParallelRuntime,
     *,
     counter: Optional[UpdateCounter] = None,
-    scalar_cutoff: int = 24,
     shard_cutoff: int = 2048,
 ) -> np.ndarray:
     """Peel ``engine`` level-synchronously on ``runtime``'s pool.
+
+    Runs the engine's own level-selection loop; only the batch step of a
+    batch larger than ``shard_cutoff`` differs (the sharded waves).
 
     Parameters
     ----------
@@ -120,36 +122,20 @@ def parallel_peel(
         (``pair_alive``/``bloom_k``) is re-homed into a shared-memory arena
         for the duration of the peel.
     counter:
-        Optional update counter; one update per (edge, level) change.
-    scalar_cutoff:
-        Parent-side scalar/vectorized crossover for small levels
-        (forwarded to the engine's batch steps).
+        Optional update counter; one update per (edge, batch) change.
     shard_cutoff:
-        Levels with at most this many edges are processed entirely in the
-        parent; larger levels shard across the pool.
+        Batches with at most this many edges take the engine's in-process
+        batch step; larger batches shard across the pool.
 
     Returns
     -------
     numpy.ndarray
         φ, bitwise identical to ``engine.peel()`` on a fresh engine.
     """
-    phi = np.zeros(engine.num_edges, dtype=np.int64)
     if engine.num_edges == 0:
-        return phi
+        return np.zeros(0, dtype=np.int64)
 
-    arena = runtime.publish(
-        {
-            "e_indptr": engine.e_indptr,
-            "e_pair": engine.e_pair,
-            "b_indptr": engine.b_indptr,
-            "b_pair": engine.b_pair,
-            "pair_e1": engine.pair_e1,
-            "pair_e2": engine.pair_e2,
-            "pair_bloom": engine.pair_bloom,
-            "pair_alive": engine.pair_alive,
-            "bloom_k": engine.bloom_k,
-        }
-    )
+    arena = runtime.publish({key: getattr(engine, key) for key in ENGINE_ARRAY_KEYS})
     # Re-home the mutable state: parent writes land in the shared pages the
     # workers read, so each wave sees the previous wave's state without any
     # copying.  Static arrays stay parent-local for the parent-side steps.
@@ -157,21 +143,20 @@ def parallel_peel(
     engine.bloom_k = arena.view("bloom_k", writable=True)
     manifest = arena.manifest
 
+    def step(
+        batch: np.ndarray,
+        mbs: int,
+        counter: Optional[UpdateCounter],
+        peeled: np.ndarray,
+    ) -> np.ndarray:
+        if len(batch) <= shard_cutoff:
+            return engine._peel_batch(batch, mbs, counter, peeled)
+        return _peel_batch_sharded(
+            engine, runtime, manifest, batch, mbs, counter, peeled
+        )
+
     try:
-        queue = BucketQueue.from_keys(engine.support)
-        in_batch = np.zeros(engine.num_edges, dtype=bool)
-        while not queue.is_empty():
-            batch, mbs = queue.pop_min_batch()
-            phi[batch] = mbs
-            if len(batch) <= scalar_cutoff:
-                engine._peel_batch_scalar(batch, mbs, queue, counter)
-            elif len(batch) <= shard_cutoff:
-                engine._peel_batch_vectorized(batch, mbs, queue, counter, in_batch)
-            else:
-                _peel_level_sharded(
-                    engine, runtime, manifest, batch, mbs, queue, counter, in_batch
-                )
-        return phi
+        return engine._peel_levels(step, counter)
     finally:
         # Return the mutable state to parent-local memory so the arena can
         # unmap cleanly (and the engine stays inspectable after close).
@@ -180,74 +165,62 @@ def parallel_peel(
         arena.close()
 
 
-def _peel_level_sharded(
+def _peel_batch_sharded(
     engine: CSRPeelingEngine,
     runtime: ParallelRuntime,
     manifest: ArenaManifest,
-    batch: List[int],
+    batch: np.ndarray,
     mbs: int,
-    queue: BucketQueue,
     counter: Optional[UpdateCounter],
-    in_batch: np.ndarray,
-) -> None:
-    """One large level, processed as the two sharded waves + parent apply."""
-    batch_arr = np.asarray(batch, dtype=np.int64)
-    in_batch[batch_arr] = True
-    try:
-        loss_edges: List[np.ndarray] = []
-        loss_values: List[np.ndarray] = []
+    peeled: np.ndarray,
+) -> np.ndarray:
+    """One large batch as the two sharded waves + parent apply.
 
-        # Wave 1 — sharded detach scan over the batch.
-        with obs_phases.phase("wave 1 dispatch"):
-            tasks = [
-                (manifest, chunk)
-                for chunk in _array_chunks(batch_arr, runtime.workers)
-            ]
-            parts = runtime.map_tasks(_task_detach_scan, tasks)
-        links = np.concatenate([p[0] for p in parts])
-        twin = np.concatenate([p[1] for p in parts])
-        k_minus_1 = np.concatenate([p[2] for p in parts])
-        if not len(links):
-            return
-        external = ~in_batch[twin]
-        if external.any():
-            loss_edges.append(twin[external])
-            loss_values.append(k_minus_1[external])
-        # A pair with both endpoints in the batch surfaced once per
-        # endpoint (possibly from different chunks); np.unique collapses it
-        # to a single detachment, matching the scalar "twin already
-        # severed" skip.
-        removed_pairs = np.unique(links)
-        touched, c_removed = np.unique(
-            engine.pair_bloom[removed_pairs], return_counts=True
+    Same contract as :meth:`CSRPeelingEngine._peel_batch`: ``peeled``
+    already includes ``batch``, and the next batch of level ``mbs`` is
+    returned.
+    """
+    # Wave 1 — sharded detach scan over the batch.
+    with obs_phases.phase("wave 1 dispatch"):
+        tasks = [(manifest, chunk) for chunk in _array_chunks(batch, runtime.workers)]
+        parts = runtime.map_tasks(_task_detach_scan, tasks)
+    links = np.concatenate([p[0] for p in parts])
+    twin = np.concatenate([p[1] for p in parts])
+    k_minus_1 = np.concatenate([p[2] for p in parts])
+    if not len(links):
+        return links
+    external = ~peeled[twin]
+    loss_edges: List[np.ndarray] = [twin[external]]
+    loss_values: List[np.ndarray] = [k_minus_1[external]]
+    # A pair with both endpoints in the batch surfaced once per endpoint
+    # (possibly from different chunks); np.unique collapses it to a single
+    # detachment, matching the scalar "twin already severed" skip.
+    removed_pairs = np.unique(links)
+    touched, c_removed = np.unique(
+        engine.pair_bloom[removed_pairs], return_counts=True
+    )
+    engine.pair_alive[removed_pairs] = False  # shared write, pre-wave-2
+
+    # Wave 2 — sharded surviving-pair scan over the touched blooms.
+    with obs_phases.phase("wave 2 dispatch"):
+        bounds = np.cumsum(
+            [0] + [len(c) for c in _array_chunks(touched, runtime.workers)]
         )
-        engine.pair_alive[removed_pairs] = False  # shared write, pre-wave-2
+        tasks = [
+            (manifest, touched[lo:hi], c_removed[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        scans = runtime.map_tasks(_task_bloom_scan, tasks)
+    for e1_s, e2_s, charge in scans:
+        loss_edges += [e1_s, e2_s]
+        loss_values += [charge, charge]
+    engine.bloom_k[touched] -= c_removed
 
-        # Wave 2 — sharded surviving-pair scan over the touched blooms.
-        with obs_phases.phase("wave 2 dispatch"):
-            bounds = np.cumsum(
-                [0] + [len(c) for c in _array_chunks(touched, runtime.workers)]
-            )
-            tasks = [
-                (manifest, touched[lo:hi], c_removed[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            scans = runtime.map_tasks(_task_bloom_scan, tasks)
-        for e1_s, e2_s, charge in scans:
-            if len(charge):
-                loss_edges.append(e1_s)
-                loss_values.append(charge)
-                loss_edges.append(e2_s)
-                loss_values.append(charge)
-        engine.bloom_k[touched] -= c_removed
-
-        # Apply — order-independent merge, floored at the level minimum;
-        # the same helper the in-process batch step uses, so the two paths
-        # cannot drift apart.
-        with obs_phases.phase("apply losses"):
-            engine._apply_losses(loss_edges, loss_values, mbs, queue, counter)
-    finally:
-        in_batch[batch_arr] = False
+    # Apply — order-independent merge, floored at the level minimum; the
+    # same helper the in-process batch step uses, so the two paths cannot
+    # drift apart.
+    with obs_phases.phase("apply losses"):
+        return engine._apply_losses(loss_edges, loss_values, mbs, counter)
 
 
 # ------------------------------------------------------------- algorithm
@@ -260,7 +233,6 @@ def bit_bu_par(
     counter: Optional[UpdateCounter] = None,
     timer: Optional[PhaseTimer] = None,
     size_model: Optional[IndexSizeModel] = None,
-    scalar_cutoff: int = 24,
     shard_cutoff: int = 2048,
     chunks_per_worker: int = 4,
     runtime: Optional[ParallelRuntime] = None,
@@ -269,9 +241,10 @@ def bit_bu_par(
 
     The third member of the batch family (see
     :mod:`repro.core.bit_bu_batch`): BE-Index construction shards across
-    the pool, and peeling runs level-synchronously with the two heavy
-    passes of each large level sharded.  φ is bitwise identical to
-    ``bit-bu-csr`` for every worker count.
+    the pool, and peeling runs the engine's level-selection loop with the
+    two heavy passes of each batch above ``shard_cutoff`` sharded.  φ and
+    the update count are bitwise identical to ``bit-bu-csr`` for every
+    worker count.
 
     Parameters
     ----------
@@ -283,9 +256,9 @@ def bit_bu_par(
         CLI default ``--workers 1`` promises.
     counter, timer, size_model:
         Optional instrumentation sinks (see :mod:`repro.utils.stats`).
-    scalar_cutoff, shard_cutoff:
-        Level-size crossovers: scalar walk up to ``scalar_cutoff``,
-        parent-only vectorized up to ``shard_cutoff``, sharded waves above.
+    shard_cutoff:
+        Batch-size crossover: the engine's in-process batch step up to
+        ``shard_cutoff`` edges, sharded waves above.
     chunks_per_worker:
         Over-partitioning factor of the counting/build shards.
     runtime:
@@ -303,7 +276,6 @@ def bit_bu_par(
             counter=counter,
             timer=timer,
             size_model=size_model,
-            scalar_cutoff=scalar_cutoff,
         )
     timer = timer if timer is not None else PhaseTimer()
     size_model = size_model if size_model is not None else IndexSizeModel()
@@ -323,7 +295,6 @@ def bit_bu_par(
                 engine,
                 rt,
                 counter=counter,
-                scalar_cutoff=scalar_cutoff,
                 shard_cutoff=shard_cutoff,
             )
     finally:

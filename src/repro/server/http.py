@@ -1,7 +1,8 @@
 """A minimal asyncio HTTP/1.1 JSON server over the query engine surface.
 
 Stdlib only: connections are ``asyncio.start_server`` streams, requests
-are parsed by hand (request line, headers, ``Content-Length`` body), and
+are parsed by hand (request line, headers, ``Content-Length`` body; any
+``Transfer-Encoding`` is refused with 501 and a closed connection), and
 responses are JSON with explicit ``Content-Length`` so keep-alive works.
 One process hosts many datasets through an
 :class:`~repro.server.registry.ArtifactRegistry`; engine calls run on a
@@ -114,6 +115,7 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -324,8 +326,9 @@ class BitrussServer:
                     request = await self._read_request(reader)
                 except HTTPError as exc:
                     # Unframeable request (bad request line, bad or huge
-                    # Content-Length): answer once, then close — the
-                    # stream position can no longer be trusted.
+                    # Content-Length, any Transfer-Encoding): answer once,
+                    # then close — the stream position can no longer be
+                    # trusted.
                     self._requests_total += 1
                     self._errors_total += 1
                     self._write_response(
@@ -421,6 +424,16 @@ class BitrussServer:
                 400,
                 "too_many_headers",
                 f"more than {self.MAX_HEADERS} header lines",
+            )
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is implemented.  An unread chunked
+            # body would be parsed as the next pipelined request, so refuse
+            # the request and let the caller close the connection.
+            raise HTTPError(
+                501,
+                "unsupported_transfer_encoding",
+                "Transfer-Encoding is not supported; frame the body with "
+                "Content-Length",
             )
         try:
             length = int(headers.get("content-length", "0") or "0")

@@ -15,6 +15,7 @@ from repro.graph.generators import (
 )
 from repro.runtime import ParallelRuntime, bit_bu_par, is_available
 from repro.runtime.parallel_peeling import parallel_peel
+from repro.utils.stats import UpdateCounter
 
 from tests.conftest import assert_phi_equal, bipartite_graphs
 
@@ -51,13 +52,27 @@ GENERATOR_GRAPHS = [
 def test_phi_matches_bu_plus_plus(name, builder, workers):
     graph = builder()
     reference = bit_bu_plus_plus(graph)
-    # Tiny cutoffs force the sharded level path through the pool even on
-    # these small graphs — otherwise the parent-only fallbacks would be the
-    # only thing exercised.
-    parallel = bit_bu_par(graph, workers=workers, scalar_cutoff=4, shard_cutoff=16)
+    # A tiny shard_cutoff forces the sharded batch path through the pool
+    # even on these small graphs — otherwise the in-process batch step
+    # would be the only thing exercised.
+    parallel = bit_bu_par(graph, workers=workers, shard_cutoff=16)
     assert_phi_equal(
         reference.phi, parallel.phi, f"({name}, workers={workers})"
     )
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_sharded_peel_repeats_csr_phi_and_update_count(workers):
+    graph = chung_lu_bipartite(
+        150, 40, 700, exponent_upper=2.3, exponent_lower=1.9, seed=23
+    )
+    csr_counter, par_counter = UpdateCounter(), UpdateCounter()
+    reference = bit_bu_csr(graph, counter=csr_counter)
+    parallel = bit_bu_par(
+        graph, workers=workers, counter=par_counter, shard_cutoff=4
+    )
+    assert_phi_equal(reference.phi, parallel.phi, f"(workers={workers})")
+    assert par_counter.total == csr_counter.total
 
 
 def test_phi_matches_csr_on_dense_workload():
@@ -78,7 +93,7 @@ def test_phi_matches_csr_on_dense_workload():
 @given(graph=bipartite_graphs())
 def test_phi_matches_on_random_graphs(graph):
     reference = bit_bu_plus_plus(graph)
-    parallel = bit_bu_par(graph, workers=2, scalar_cutoff=2, shard_cutoff=8)
+    parallel = bit_bu_par(graph, workers=2, shard_cutoff=8)
     assert_phi_equal(reference.phi, parallel.phi, "(hypothesis graph)")
 
 

@@ -885,6 +885,32 @@ class TestRequestParsing:
 
         run(scenario())
 
+    def test_chunked_body_is_refused_not_parsed_as_next_request(
+        self, fig4_artifact
+    ):
+        # A chunked POST pipelined ahead of a GET.  If the parser ignored
+        # Transfer-Encoding, the chunk bytes would be read as a request line
+        # (and the GET answered after it).  The server must answer the POST
+        # once and close the connection.
+        async def scenario():
+            async with make_server({"fig4": fig4_artifact}) as server:
+                raw = await raw_exchange(
+                    server.port,
+                    b"POST /fig4/query HTTP/1.1\r\nHost: t\r\n"
+                    b"Transfer-Encoding: chunked\r\n\r\n"
+                    b"f\r\n{\"op\": \"stats\"}\r\n0\r\n\r\n"
+                    b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+                )
+                assert raw.count(b"HTTP/1.1 ") == 1
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert head.split(b"\r\n")[0] == b"HTTP/1.1 501 Not Implemented"
+                assert b"Connection: close" in head
+                payload = json.loads(body)
+                assert payload["error"]["type"] == "unsupported_transfer_encoding"
+                assert payload["error"]["status"] == 501
+
+        run(scenario())
+
     def test_other_duplicate_headers_still_tolerated(self, fig4_artifact):
         async def scenario():
             async with make_server({"fig4": fig4_artifact}) as server:

@@ -2,7 +2,10 @@
 
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.stats import (
     DecompositionStats,
@@ -38,6 +41,50 @@ class TestUpdateCounter:
         c.record(0)
         c.record(1)
         assert c.bucket_totals() == [1, 1]
+
+    def test_bounds_must_ascend(self):
+        with pytest.raises(ValueError):
+            UpdateCounter(original_supports=[1], bucket_bounds=[10, 5])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"bucket_bounds": [5, 10]},
+            {"original_supports": [2, 7, 12, 100]},
+            # Supports sitting exactly on a bound land in that bound's bucket.
+            {"original_supports": [5, 10, 11, 0], "bucket_bounds": [5, 10]},
+            {"original_supports": [5, 5, 6, 6], "bucket_bounds": [5, 5, 6]},
+        ],
+    )
+    def test_record_many_equals_a_loop_of_record(self, kwargs):
+        edges = [0, 1, 1, 3, 2, 0, 3, 3]
+        looped = UpdateCounter(**kwargs)
+        for edge in edges:
+            looped.record(edge)
+        vectorized = UpdateCounter(**kwargs)
+        vectorized.record_many(np.asarray(edges[:3]))
+        vectorized.record_many([])
+        vectorized.record_many(edges[3:])
+        assert vectorized.total == looped.total == len(edges)
+        assert vectorized.bucket_totals() == looped.bucket_totals()
+
+    @given(
+        st.lists(st.integers(0, 30), min_size=1, max_size=12),
+        st.lists(st.integers(0, 30), max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_record_many_property(self, supports, bounds, data):
+        bounds = sorted(bounds)
+        edges = data.draw(st.lists(st.integers(0, len(supports) - 1), max_size=20))
+        looped = UpdateCounter(original_supports=supports, bucket_bounds=bounds)
+        for edge in edges:
+            looped.record(edge)
+        vectorized = UpdateCounter(original_supports=supports, bucket_bounds=bounds)
+        vectorized.record_many(edges)
+        assert vectorized.total == looped.total
+        assert vectorized.bucket_totals() == looped.bucket_totals()
 
 
 class TestPhaseTimer:
