@@ -240,14 +240,15 @@ class CSRPeelingEngine:
         shared-memory runtime builds the same engine from several
         range shards (:meth:`from_shards`).
         """
-        prio = (
-            np.asarray(priorities)
-            if priorities is not None
-            else graph.priorities()
-        )
-        indptr, neighbors, edge_ids, row_prios = graph.csr_gid_sorted_with_prios(
-            priorities
-        )
+        with obs_phases.phase("priority sort"):
+            prio = (
+                np.asarray(priorities)
+                if priorities is not None
+                else graph.priorities()
+            )
+            indptr, neighbors, edge_ids, row_prios = (
+                graph.csr_gid_sorted_with_prios(priorities)
+            )
         with obs_phases.phase("bloom discovery"):
             shard = build_shard_on_arrays(
                 indptr,

@@ -179,8 +179,8 @@ class BipartiteGraph:
             self._lo_eids,
         )
 
-        # Lazily-built caches, all derived from the CSR arrays above.
-        self._edge_index: Optional[Dict[Edge, int]] = None
+        # Lazily-built caches, all derived from the arrays above.
+        self._edge_lookup: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._gid_csr: Optional[CSR] = None
         self._gid_csr_sorted: Optional[CSR] = None
         self._gid_sorted_prios: Optional[np.ndarray] = None
@@ -219,10 +219,12 @@ class BipartiteGraph:
             out exactly as :meth:`csr_upper` / :meth:`csr_lower` return
             them.
         check : bool, optional
-            When true (default) run the vectorized structural checks
+            When true (default) run the structural checks
             (:meth:`_validate_arrays`) on the result so a corrupted or
-            mismatched array set cannot produce a silently broken graph;
-            stays O(m) at numpy speed, no Python-level per-edge loop.
+            mismatched array set cannot produce a silently broken graph.
+            Each check is O(m) array work or one sort of the edge codes
+            (which doubles as the :meth:`edge_id` lookup), with no
+            hash-based ``np.unique`` and no per-edge Python loop.
 
         Returns
         -------
@@ -256,7 +258,7 @@ class BipartiteGraph:
             self._lo_nbrs,
             self._lo_eids,
         )
-        self._edge_index = None
+        self._edge_lookup = None
         self._gid_csr = None
         self._gid_csr_sorted = None
         self._gid_sorted_prios = None
@@ -327,16 +329,35 @@ class BipartiteGraph:
         """
         return int(self._edge_u[eid]), int(self._edge_v[eid])
 
-    def _index(self) -> Dict[Edge, int]:
-        """The lazily-built ``(u, v) -> edge id`` dictionary."""
-        if self._edge_index is None:
-            self._edge_index = {
-                (u, v): eid
-                for eid, (u, v) in enumerate(
-                    zip(self._edge_u.tolist(), self._edge_v.tolist())
-                )
-            }
-        return self._edge_index
+    def _edge_codes(self) -> np.ndarray:
+        """Each edge's linearized ``u * n_l + v`` code, by edge id."""
+        return self._edge_u * self._n_l + self._edge_v
+
+    def _lookup(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The lazily-built ``(sorted codes, their edge ids)`` pair.
+
+        ``sorted_codes[i]`` is the :meth:`_edge_codes` value of edge
+        ``order[i]``; one argsort, 16 bytes per edge, read-only.
+        """
+        if self._edge_lookup is None:
+            codes = self._edge_codes()
+            order = np.argsort(codes)
+            sorted_codes = codes[order]
+            _freeze(sorted_codes, order)
+            self._edge_lookup = (sorted_codes, order)
+        return self._edge_lookup
+
+    def _find_edge(self, u: int, v: int) -> int:
+        """Edge id of ``(u, v)`` by binary search, ``-1`` when absent."""
+        u, v = int(u), int(v)
+        if not (0 <= u < self._n_u and 0 <= v < self._n_l):
+            return -1
+        sorted_codes, order = self._lookup()
+        code = u * self._n_l + v
+        slot = int(sorted_codes.searchsorted(code))
+        if slot < len(sorted_codes) and sorted_codes[slot] == code:
+            return int(order[slot])
+        return -1
 
     def edge_id(self, u: int, v: int) -> int:
         """Return the edge id of ``(u, v)``.
@@ -361,7 +382,10 @@ class BipartiteGraph:
         >>> BipartiteGraph(2, 2, [(0, 1), (1, 1)]).edge_id(1, 1)
         1
         """
-        return self._index()[(int(u), int(v))]
+        eid = self._find_edge(u, v)
+        if eid < 0:
+            raise KeyError((int(u), int(v)))
+        return eid
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` if the edge ``(u, v)`` exists.
@@ -371,7 +395,7 @@ class BipartiteGraph:
         >>> BipartiteGraph(1, 1, [(0, 0)]).has_edge(0, 0)
         True
         """
-        return (int(u), int(v)) in self._index()
+        return self._find_edge(u, v) >= 0
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over ``(u, v)`` pairs in edge-id order.
@@ -723,28 +747,38 @@ class BipartiteGraph:
     def validate(self) -> None:
         """Internal-consistency check used by tests and IO round-trips.
 
-        Runs the vectorized array checks plus a Python-level audit of the
-        lazily-built edge-id dictionary.
+        Runs the array checks plus an audit of the :meth:`edge_id`
+        lookup (which may have been built before the checks ran).
 
         Raises
         ------
         AssertionError
-            If the edge index, CSR blocks, and endpoint arrays disagree.
+            If the edge lookup, CSR blocks, and endpoint arrays disagree.
         """
         self._validate_arrays()
-        if len(self._index()) != self.num_edges:
-            raise AssertionError("edge index size mismatch")
-        for eid, (u, v) in enumerate(self.edges()):
-            if self._index()[(u, v)] != eid:
-                raise AssertionError(f"edge index broken at {eid}")
+        sorted_codes, order = self._lookup()
+        m = self.num_edges
+        if len(order) != m or len(sorted_codes) != m:
+            raise AssertionError("edge lookup size mismatch")
+        if m and (
+            int(order.min()) < 0
+            or int(order.max()) >= m
+            or (np.bincount(order, minlength=m) != 1).any()
+        ):
+            raise AssertionError("edge lookup order is not a permutation")
+        if not np.array_equal(self._edge_codes()[order], sorted_codes):
+            raise AssertionError("edge lookup disagrees with edge endpoints")
 
     def _validate_arrays(self) -> None:
-        """Vectorized structural checks over the endpoint and CSR arrays.
+        """Structural checks over the endpoint and CSR arrays.
 
-        Everything :meth:`validate` asserts except the edge-id dictionary
-        audit, at numpy speed — this is the integrity gate of the artifact
-        fast path (:meth:`from_csr`), where a per-edge Python loop would
-        dominate reopen time.
+        Everything :meth:`validate` asserts except the edge-lookup audit —
+        this is the integrity gate of the artifact fast path
+        (:meth:`from_csr`), so every check is O(m) array work or a sort:
+        duplicates by one sort of the edge codes (the sorted codes are kept
+        as the :meth:`edge_id` lookup), each layer's edge ids as a
+        permutation by length plus ``np.bincount``, and the CSR blocks by
+        gathers against the endpoint arrays.
 
         Raises
         ------
@@ -761,8 +795,8 @@ class BipartiteGraph:
                 or (self._edge_v >= self._n_l).any()
             ):
                 raise AssertionError("edge endpoint out of range")
-            codes = self._edge_u * self._n_l + self._edge_v
-            if len(np.unique(codes)) != m:
+            sorted_codes, _order = self._lookup()
+            if (sorted_codes[1:] == sorted_codes[:-1]).any():
                 raise AssertionError("duplicate edges")
         for indptr, eids, label in (
             (self._up_indptr, self._up_eids, "upper"),
@@ -776,7 +810,9 @@ class BipartiteGraph:
                 int(eids.min()) < 0 or int(eids.max()) >= self.num_edges
             ):
                 raise AssertionError(f"{label} CSR edge id out of range")
-            if len(np.unique(eids)) != self.num_edges:
+            if len(eids) != self.num_edges or (
+                np.bincount(eids, minlength=self.num_edges) != 1
+            ).any():
                 raise AssertionError(f"{label} CSR edge ids not a permutation")
         # Endpoint consistency: each upper-CSR slot (u, nbrs[slot]) must be
         # the endpoints of eids[slot].

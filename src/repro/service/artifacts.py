@@ -32,6 +32,18 @@ Two on-disk layouts share one header and one loader:
   memmap: O(1) resident memory, pages faulted in on demand — the serving
   posture for artifacts larger than RAM.
 
+Atomic saves
+------------
+:func:`save_artifact` never writes into the live target.  It writes a
+sibling temporary (``.<name>.*.tmp``), fsyncs every file and the
+directory, and only then moves it over the target — ``os.replace`` for an
+``.npz``; for a directory, the old one is renamed aside, the new one
+renamed in, and the old one deleted.  A crash or an exception while
+writing leaves the previous artifact untouched (a hard crash may leave the
+temporary behind as litter, never a half-written artifact at the target
+path).  Between the two directory renames the target path briefly does
+not exist; the previous artifact is then intact under its aside name.
+
 Staleness
 ---------
 An artifact can be registered with a
@@ -43,11 +55,14 @@ then calls :meth:`DecompositionArtifact.invalidate`, and a
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import secrets
+import shutil
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import BinaryIO, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -375,6 +390,16 @@ def save_artifact(
         reopenable with ``mmap_mode="r"`` in O(1) resident memory;
         ``"auto"`` (default) — ``"npz"`` when ``path`` ends in ``.npz``,
         ``"dir"`` otherwise.
+
+    The write is atomic (see the module docstring): the target holds
+    either the previous artifact or the complete new one.  An existing
+    directory is only replaced when it holds nothing but artifact files.
+
+    Raises
+    ------
+    ArtifactError
+        The ``"dir"`` target exists but is not a directory, or holds files
+        that are not part of an artifact.
     """
     if layout == "auto":
         layout = "npz" if str(path).endswith(".npz") else "dir"
@@ -382,21 +407,79 @@ def save_artifact(
         raise ValueError(f"unknown artifact layout {layout!r}")
     header = _build_header(artifact)
     arrays = _array_map(artifact)
+    path = os.path.abspath(os.fspath(path))
+    parent, name = os.path.split(path)
+    # A random sibling name, created like any new file (umask applies).
+    tmp = os.path.join(parent, f".{name}.{secrets.token_hex(6)}.tmp")
     if layout == "npz":
-        with open(path, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                header=np.frombuffer(
-                    json.dumps(header).encode("utf-8"), dtype=np.uint8
-                ),
-                **arrays,
-            )
+        try:
+            with _synced(tmp) as handle:
+                np.savez_compressed(
+                    handle,
+                    header=np.frombuffer(
+                        json.dumps(header).encode("utf-8"), dtype=np.uint8
+                    ),
+                    **arrays,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        _fsync_dir(parent)
         return
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "header.json"), "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
-    for key, array in arrays.items():
-        np.save(os.path.join(path, f"{key}.npy"), array)
+
+    if os.path.isdir(path):
+        foreign = sorted(set(os.listdir(path)) - set(_DIR_MEMBERS))
+        if foreign:
+            raise ArtifactError(
+                f"{path}: refusing to replace a directory holding "
+                f"non-artifact files {foreign[:3]}"
+            )
+    elif os.path.lexists(path):
+        raise ArtifactError(f"{path}: exists and is not a directory")
+    os.mkdir(tmp)
+    try:
+        with _synced(os.path.join(tmp, "header.json")) as handle:
+            handle.write(json.dumps(header, indent=2).encode("utf-8"))
+        for key, array in arrays.items():
+            with _synced(os.path.join(tmp, f"{key}.npy")) as handle:
+                np.save(handle, array)
+        _fsync_dir(tmp)
+        aside = None
+        if os.path.isdir(path):
+            aside = f"{tmp}.old"
+            os.rename(path, aside)
+        try:
+            os.rename(tmp, path)
+        except BaseException:
+            if aside is not None:
+                os.rename(aside, path)
+            raise
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    _fsync_dir(parent)
+    if aside is not None:
+        shutil.rmtree(aside)
+
+
+@contextlib.contextmanager
+def _synced(path: str) -> Iterator[BinaryIO]:
+    """Create ``path`` (which must not exist) for writing; fsync on success."""
+    with open(path, "xb") as handle:
+        yield handle
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def _fsync_dir(path: str) -> None:
+    """Make the entries of directory ``path`` (creations, renames) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 _REQUIRED_KEYS = (
@@ -413,6 +496,9 @@ _REQUIRED_KEYS = (
 )
 
 _ARRAY_KEYS = _REQUIRED_KEYS[1:]
+
+#: File names of a directory-layout artifact.
+_DIR_MEMBERS = ("header.json",) + tuple(f"{key}.npy" for key in _ARRAY_KEYS)
 
 
 def _read_npz(path) -> Dict[str, np.ndarray]:

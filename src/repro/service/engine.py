@@ -84,10 +84,7 @@ class QueryEngine:
         self.artifact = artifact
         self.graph: BipartiteGraph = artifact.graph
         self.phi: np.ndarray = artifact.phi
-        with obs_spans.span("hierarchy build"):
-            self.hierarchy: BitrussHierarchy = build_hierarchy(
-                artifact.graph, artifact.phi
-            )
+        self.hierarchy: BitrussHierarchy = self._build_hierarchy()
         self.allow_stale = allow_stale
         self._cache: "OrderedDict[Tuple, object]" = OrderedDict()
         self._cache_size = cache_size
@@ -135,6 +132,11 @@ class QueryEngine:
 
     # ---------------------------------------------------------- lifecycle
 
+    def _build_hierarchy(self) -> BitrussHierarchy:
+        """The artifact's containment forest, timed as ``hierarchy build``."""
+        with obs_spans.span("hierarchy build"):
+            return build_hierarchy(self.artifact.graph, self.artifact.phi)
+
     @property
     def stale(self) -> bool:
         """Whether the underlying artifact has been invalidated."""
@@ -158,7 +160,7 @@ class QueryEngine:
         self.artifact = build_artifact(graph or self.graph, algorithm=algorithm)
         self.graph = self.artifact.graph
         self.phi = self.artifact.phi
-        self.hierarchy = build_hierarchy(self.artifact.graph, self.artifact.phi)
+        self.hierarchy = self._build_hierarchy()
         self._decomposition = None
         self.clear_cache()
 
@@ -175,7 +177,7 @@ class QueryEngine:
         The write side of localized φ maintenance
         (:meth:`repro.maintenance.dynamic.DynamicBipartiteGraph.apply`):
         the underlying artifact is patched in place, the hierarchy is
-        re-derived from the patched φ (one union-find sweep — no peeling),
+        re-derived from the patched φ (one φ-descending sweep — no peeling),
         and the memoized results are invalidated *selectively* when the
         caller says how far the repair reached:
 
@@ -199,7 +201,7 @@ class QueryEngine:
         self.artifact.patch(graph, phi)
         self.graph = self.artifact.graph
         self.phi = self.artifact.phi
-        self.hierarchy = build_hierarchy(self.artifact.graph, self.artifact.phi)
+        self.hierarchy = self._build_hierarchy()
         self._decomposition = None
         if max_affected_k is None or affected_gids is None or not same_layers:
             self.clear_cache()

@@ -5,19 +5,24 @@ their connected components: every component of ``H_k`` lies inside exactly
 one component of ``H_{k-1}``.  That containment relation is a forest whose
 nodes are *super-nodes* — maximal sets of edges that share a connected
 k-bitruss component at the node's level but settle no deeper — and it is
-the entire query index of the service layer: once built (one φ-descending
-union-find sweep, ``O(m α(n))`` after the sort), every structural query is
-answered in time linear in its output.
+the entire query index of the service layer: once built (one stable φ
+sort, then one array-only connected-components round per occupied level),
+every structural query is answered in time linear in its output.
 
 Construction sweep
 ------------------
-Edges are processed by *descending* φ.  A union-find over global vertex
-ids maintains the connected components of the subgraph seen so far, which
-after finishing level ``k`` is exactly ``H_k``.  Finishing a level creates
-one new super-node per component that gained edges, whose children are the
-super-nodes of the previously-existing components it swallowed; levels at
-which a component is unchanged create no node, so the forest is compressed
-(parent levels strictly decrease along every upward path).
+Edges are processed by *descending* φ, one occupied level at a time.  An
+``int64`` parent array over global vertex ids holds the connected
+components of the subgraph seen so far, which after finishing level ``k``
+is exactly ``H_k``; every pointer goes to a smaller id and each root is its
+component's smallest vertex.  A level finds its endpoints' roots by pointer
+jumping, merges them by min-label hooking plus pointer jumping
+(Shiloach–Vishkin), and creates one new super-node per component that
+gained edges, numbered by the component's first level edge (a first-edge
+stamp over vertex ids, no per-level sort).  The new node's children are
+the super-nodes of the previously-existing components it swallowed; levels
+at which a component is unchanged create no node, so the forest is
+compressed (parent levels strictly decrease along every upward path).
 
 Flat storage
 ------------
@@ -25,7 +30,10 @@ Nodes are renumbered in DFS preorder so that every subtree occupies a
 contiguous id range ``[n, subtree_end[n])``, and edges are grouped by
 settle node in the same order.  A component's edge set is then one slice
 of one array — the trick that makes ``community()`` output-linear instead
-of graph-linear.
+of graph-linear.  The renumbering is array work too: subtree sizes settle
+level by level (children are always deeper than their parent), and a
+node's preorder id is its parent's id plus one plus the sizes of the
+siblings created before it.
 """
 
 from __future__ import annotations
@@ -56,6 +64,9 @@ class BitrussHierarchy:
     edge_node:
         ``edge_node[e]`` — the super-node at which edge ``e`` settles (the
         component of ``H_{φ(e)}`` containing it).
+
+    ``phi_order`` is ``np.argsort(phi, kind="stable")``, which the builder
+    already holds; the k-bitruss queries read suffixes of it.
     """
 
     def __init__(
@@ -69,6 +80,8 @@ class BitrussHierarchy:
         node_edge_ptr: np.ndarray,
         node_edges: np.ndarray,
         vertex_best_edge: np.ndarray,
+        *,
+        phi_order: np.ndarray,
     ) -> None:
         self.graph = graph
         self.phi = phi
@@ -79,8 +92,9 @@ class BitrussHierarchy:
         self._node_edge_ptr = node_edge_ptr
         self._node_edges = node_edges
         self._vertex_best_edge = vertex_best_edge
-        # φ ascending with edge-id tie-break: the k-bitruss is a suffix.
-        self._phi_order = np.argsort(phi, kind="stable")
+        # φ ascending with edge-id tie-break (the builder's sweep order):
+        # the k-bitruss is a suffix.
+        self._phi_order = phi_order
         self._phi_sorted = phi[self._phi_order]
         for arr in (
             self.phi,
@@ -245,29 +259,48 @@ class BitrussHierarchy:
                 raise AssertionError("edge settled at wrong level")
 
 
-class _UnionFind:
-    """Array-based union-find with path halving and union by size."""
+def _find_roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Roots of the vertices ``x`` by pointer jumping; compresses their paths.
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
+    Every pointer goes to a smaller-or-equal id (roots are component
+    minima), so the walk ends; each round moves the still-unfinished
+    entries two hops, and the queried vertices end pointing at their roots.
+    """
+    roots = parent[x]
+    active = np.flatnonzero(parent[roots] != roots)
+    while len(active):
+        roots[active] = parent[parent[roots[active]]]
+        active = active[parent[roots[active]] != roots[active]]
+    parent[x] = roots
+    return roots
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
+def _hook_components(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the trees of root pairs ``(a[i], b[i])`` in place.
+
+    Min-label hooking plus pointer jumping (Shiloach–Vishkin): each round
+    hooks the larger root of every still-crossing pair under the smaller
+    label, then jumps every touched pointer until it reaches a root.  On
+    return each node of ``a``/``b`` points straight at its component's
+    root, the smallest vertex id among the roots it merged.
+    """
+    nodes = np.concatenate((a, b))
+    while True:
+        la = parent[a]
+        lb = parent[b]
+        cross = la != lb
+        if not cross.any():
+            return
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        low = np.minimum(la, lb)
+        np.minimum.at(parent, la, low)
+        np.minimum.at(parent, lb, low)
+        while True:
+            up = parent[nodes]
+            jumped = parent[up]
+            if np.array_equal(up, jumped):
+                break
+            parent[nodes] = jumped
 
 
 def build_hierarchy(graph: BipartiteGraph, phi: np.ndarray) -> BitrussHierarchy:
@@ -283,8 +316,9 @@ def build_hierarchy(graph: BipartiteGraph, phi: np.ndarray) -> BitrussHierarchy:
     Returns
     -------
     BitrussHierarchy
-        The flat-array forest; construction is a single φ-descending
-        union-find sweep plus one DFS renumbering.
+        The flat-array forest; construction is one stable φ sort, a
+        φ-descending sweep of array-only connected-components rounds (one
+        per occupied level) and one DFS renumbering done level by level.
     """
     # Private copy: the hierarchy freezes its φ, which must not leak into
     # a caller-owned (possibly still writable) array.
@@ -293,93 +327,99 @@ def build_hierarchy(graph: BipartiteGraph, phi: np.ndarray) -> BitrussHierarchy:
     if len(phi) != m:
         raise ValueError("phi must have one entry per edge")
 
+    n = graph.num_vertices
     n_l = graph.num_lower
-    edge_gu = (graph.edge_upper + n_l).tolist()
-    edge_gv = graph.edge_lower.tolist()
-    phi_list = phi.tolist()
-
-    uf = _UnionFind(graph.num_vertices)
-    comp_node: Dict[int, int] = {}  # current UF root -> its newest node
-    levels: List[int] = []
-    parents: List[int] = []
-    edge_node = np.full(m, -1, dtype=np.int64)
-
+    # φ ascending with edge-id tie-break: each level is one slice, its
+    # edges in ascending id order.
     order = np.argsort(phi, kind="stable")
     sorted_phi = phi[order]
+    sorted_gu = graph.edge_upper[order] + n_l
+    sorted_gv = graph.edge_lower[order]
+    cuts = np.flatnonzero(np.diff(sorted_phi)) + 1
+    level_lo = np.concatenate(([0], cuts)) if m else cuts
+    level_hi = np.concatenate((cuts, [m])) if m else cuts
+
+    parent = np.arange(n, dtype=np.int64)  # vertex forest, roots = minima
+    root_node = np.full(n, -1, dtype=np.int64)  # root -> its newest node
+    first_pos = np.full(n, m, dtype=np.int64)  # root -> first level slot
+    node_level_raw = np.empty(m, dtype=np.int64)
+    node_parent_raw = np.full(m, -1, dtype=np.int64)
+    edge_node_raw = np.empty(m, dtype=np.int64)
+    blocks: List[int] = [0]  # node-id range start of each level, deepest first
+
     # Occupied levels, descending; each creates the nodes of that level.
-    for k in np.unique(phi)[::-1].tolist():
-        lo = int(np.searchsorted(sorted_phi, k, side="left"))
-        hi = int(np.searchsorted(sorted_phi, k, side="right"))
-        level_eids = order[lo:hi].tolist()
-
+    for lo, hi in zip(level_lo[::-1].tolist(), level_hi[::-1].tolist()):
+        gu = sorted_gu[lo:hi]
+        gv = sorted_gv[lo:hi]
         # Components (from deeper levels) that this level's edges touch.
-        pre_roots = set()
-        for eid in level_eids:
-            pre_roots.add(uf.find(edge_gu[eid]))
-            pre_roots.add(uf.find(edge_gv[eid]))
-        for eid in level_eids:
-            uf.union(edge_gu[eid], edge_gv[eid])
+        root_u = _find_roots(parent, gu)
+        root_v = _find_roots(parent, gv)
+        touched = np.concatenate((root_u, root_v))
+        old_nodes = root_node[touched]
+        _hook_components(parent, root_u, root_v)
+        label = parent[root_u]
+        parent[gu] = label
+        parent[gv] = label
 
-        # One new node per component that gained edges at this level.
-        new_nodes: Dict[int, int] = {}
-        for eid in level_eids:
-            root = uf.find(edge_gu[eid])
-            node = new_nodes.get(root)
-            if node is None:
-                node = len(levels)
-                levels.append(k)
-                parents.append(-1)
-                new_nodes[root] = node
-            edge_node[eid] = node
+        # One new node per component that gained edges, numbered by the
+        # component's first level edge.
+        slots = np.arange(hi - lo, dtype=np.int64)
+        np.minimum.at(first_pos, label, slots)
+        heads = label[first_pos[label] == slots]
+        first_pos[heads] = m
+        start = blocks[-1]
+        root_node[touched] = -1
+        root_node[heads] = np.arange(start, start + len(heads))
+        node_level_raw[start : start + len(heads)] = sorted_phi[lo]
+        edge_node_raw[order[lo:hi]] = root_node[label]
         # Swallowed components hang their old nodes under the new one.
-        for old_root in pre_roots:
-            old_node = comp_node.pop(old_root, None)
-            if old_node is not None:
-                parents[old_node] = new_nodes[uf.find(old_root)]
-        comp_node.update(
-            (root, node) for root, node in new_nodes.items()
-        )
+        swallowed = old_nodes >= 0
+        node_parent_raw[old_nodes[swallowed]] = root_node[
+            parent[touched[swallowed]]
+        ]
+        blocks.append(start + len(heads))
 
-    n_nodes = len(levels)
-    node_level = np.asarray(levels, dtype=np.int64)
-    node_parent_raw = np.asarray(parents, dtype=np.int64)
+    n_nodes = blocks[-1]
+    node_level_raw = node_level_raw[:n_nodes]
+    node_parent_raw = node_parent_raw[:n_nodes]
+    level_ranges = list(zip(blocks[:-1], blocks[1:]))
 
     # DFS preorder renumbering: subtrees become contiguous id ranges.
-    children: List[List[int]] = [[] for _ in range(n_nodes)]
-    roots: List[int] = []
-    for node in range(n_nodes):
-        parent = int(node_parent_raw[node])
-        if parent >= 0:
-            children[parent].append(node)
-        else:
-            roots.append(node)
-    new_id = np.empty(n_nodes, dtype=np.int64)
-    dfs_level = np.empty(n_nodes, dtype=np.int64)
-    dfs_parent = np.full(n_nodes, -1, dtype=np.int64)
-    subtree_end = np.empty(n_nodes, dtype=np.int64)
-    counter = 0
-    for root in roots:
-        # (node, child-cursor) explicit stack; post-visit sets the range end.
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        new_id[root] = counter
-        dfs_level[counter] = node_level[root]
-        counter += 1
-        while stack:
-            node, cursor = stack[-1]
-            if cursor < len(children[node]):
-                stack[-1] = (node, cursor + 1)
-                child = children[node][cursor]
-                new_id[child] = counter
-                dfs_level[counter] = node_level[child]
-                dfs_parent[counter] = new_id[node]
-                counter += 1
-                stack.append((child, 0))
-            else:
-                stack.pop()
-                subtree_end[new_id[node]] = counter
+    # Roots, and each node's children, are visited in creation order.
+    # Children are always created at a deeper level than their parent, so
+    # subtree sizes settle block by block, deepest level first.
+    size = np.ones(n_nodes, dtype=np.int64)
+    for a, b in level_ranges:
+        up = node_parent_raw[a:b]
+        has = up >= 0
+        np.add.at(size, up[has], size[a:b][has])
+    # A node's preorder offset among its siblings: the sizes of the
+    # siblings created before it (roots count as siblings of each other).
+    by_parent = np.argsort(node_parent_raw, kind="stable")
+    sibling_size = size[by_parent]
+    before = np.cumsum(sibling_size) - sibling_size
+    grouped_parent = node_parent_raw[by_parent]
+    group_start = np.ones(n_nodes, dtype=bool)
+    group_start[1:] = grouped_parent[1:] != grouped_parent[:-1]
+    head = np.maximum.accumulate(
+        np.where(group_start, np.arange(n_nodes, dtype=np.int64), 0)
+    )
+    offset = np.empty(n_nodes, dtype=np.int64)
+    offset[by_parent] = before - before[head]
+    # Preorder id = parent's id + 1 + sibling offset, shallowest level first.
+    new_id = np.zeros(n_nodes, dtype=np.int64)
+    for a, b in reversed(level_ranges):
+        up = node_parent_raw[a:b]
+        new_id[a:b] = offset[a:b] + np.where(up >= 0, new_id[up] + 1, 0)
 
-    if n_nodes:
-        edge_node = new_id[edge_node]
+    dfs_level = np.empty(n_nodes, dtype=np.int64)
+    dfs_level[new_id] = node_level_raw
+    dfs_parent = np.full(n_nodes, -1, dtype=np.int64)
+    has_parent = node_parent_raw >= 0
+    dfs_parent[new_id[has_parent]] = new_id[node_parent_raw[has_parent]]
+    subtree_end = np.empty(n_nodes, dtype=np.int64)
+    subtree_end[new_id] = new_id + size
+    edge_node = new_id[edge_node_raw]
 
     # Group edge ids by settle node (nodes already in DFS order).
     if m:
@@ -394,11 +434,10 @@ def build_hierarchy(graph: BipartiteGraph, phi: np.ndarray) -> BitrussHierarchy:
         node_edge_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
 
     # Per-vertex best (max-φ) incident edge: ascending-φ writes, last wins.
-    vertex_best = np.full(graph.num_vertices, -1, dtype=np.int64)
+    vertex_best = np.full(n, -1, dtype=np.int64)
     if m:
-        asc = order
-        vertex_best[graph.edge_lower[asc]] = asc
-        vertex_best[graph.edge_upper[asc] + n_l] = asc
+        vertex_best[graph.edge_lower[order]] = order
+        vertex_best[graph.edge_upper[order] + n_l] = order
 
     return BitrussHierarchy(
         graph,
@@ -410,4 +449,5 @@ def build_hierarchy(graph: BipartiteGraph, phi: np.ndarray) -> BitrussHierarchy:
         node_edge_ptr,
         node_edges,
         vertex_best,
+        phi_order=order,
     )

@@ -200,3 +200,127 @@ def test_build_artifact_workers_routes_through_runtime(figure4):
 def test_build_artifact_workers_rejects_serial_algorithms(figure4):
     with pytest.raises(ValueError):
         build_artifact(figure4, algorithm="bit-pc", workers=2)
+
+
+# ------------------------------------------------------------ atomic saves
+
+
+@pytest.fixture
+def other_artifact():
+    return build_artifact(load_dataset("marvel"), algorithm="bu-csr")
+
+
+def _assert_is(reopened, artifact):
+    assert reopened.graph_hash == artifact.graph_hash
+    assert np.array_equal(reopened.phi, artifact.phi)
+    reopened.graph.validate()
+
+
+def _crash_after(monkeypatch, fn_name, calls):
+    """Make ``np.<fn_name>`` raise once it has written ``calls`` times."""
+    real = getattr(np, fn_name)
+    written = []
+
+    def flaky(*args, **kwargs):
+        if len(written) == calls:
+            raise OSError("injected crash")
+        written.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, fn_name, flaky)
+    return written
+
+
+def test_crash_mid_dir_save_keeps_previous_artifact(
+    artifact, other_artifact, tmp_path, monkeypatch
+):
+    path = tmp_path / "art"
+    save_artifact(artifact, path, layout="dir")
+    written = _crash_after(monkeypatch, "save", 3)
+    with pytest.raises(OSError, match="injected crash"):
+        save_artifact(other_artifact, path, layout="dir")
+    assert len(written) == 3
+    monkeypatch.undo()
+    for mmap_mode in (None, "r"):
+        _assert_is(load_artifact(path, mmap_mode=mmap_mode), artifact)
+    # The failed write leaves no temporary behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["art"]
+
+
+def test_crash_mid_npz_save_keeps_previous_artifact(
+    artifact, other_artifact, tmp_path, monkeypatch
+):
+    path = tmp_path / "art.npz"
+    save_artifact(artifact, path)
+    _crash_after(monkeypatch, "savez_compressed", 0)
+    with pytest.raises(OSError, match="injected crash"):
+        save_artifact(other_artifact, path)
+    monkeypatch.undo()
+    _assert_is(load_artifact(path), artifact)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["art.npz"]
+
+
+@pytest.mark.parametrize("name", ["art", "art.npz"])
+def test_overwrite_replaces_the_artifact(
+    name, artifact, other_artifact, tmp_path
+):
+    path = tmp_path / name
+    save_artifact(artifact, path)
+    save_artifact(other_artifact, path)
+    _assert_is(load_artifact(path), other_artifact)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def test_overwrite_keeps_an_open_mmap_readable(
+    artifact, other_artifact, tmp_path
+):
+    path = tmp_path / "art"
+    save_artifact(artifact, path, layout="dir")
+    served = load_artifact(path, mmap_mode="r")
+    save_artifact(other_artifact, path, layout="dir")
+    # The swap never writes into the files a live reader maps.
+    _assert_is(served, artifact)
+    _assert_is(load_artifact(path, mmap_mode="r"), other_artifact)
+
+
+def test_dir_save_into_empty_directory(artifact, tmp_path):
+    path = tmp_path / "empty"
+    path.mkdir()
+    save_artifact(artifact, path, layout="dir")
+    _assert_is(load_artifact(path), artifact)
+
+
+def test_dir_save_refuses_foreign_files(artifact, tmp_path):
+    path = tmp_path / "busy"
+    path.mkdir()
+    (path / "notes.txt").write_text("keep me")
+    with pytest.raises(ArtifactError, match="non-artifact files"):
+        save_artifact(artifact, path, layout="dir")
+    assert (path / "notes.txt").read_text() == "keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["busy"]
+
+
+def test_dir_save_refuses_a_file_target(artifact, tmp_path):
+    path = tmp_path / "plain"
+    path.write_text("x")
+    with pytest.raises(ArtifactError, match="not a directory"):
+        save_artifact(artifact, path, layout="dir")
+    assert path.read_text() == "x"
+
+
+def _mode(path):
+    return path.stat().st_mode & 0o777
+
+
+@pytest.mark.parametrize("name", ["art", "art.npz"])
+def test_saved_files_get_ordinary_permissions(name, artifact, tmp_path):
+    """The temporary is created like any new file, so the umask applies."""
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "ref.txt").write_text("")
+    path = tmp_path / name
+    save_artifact(artifact, path)
+    if path.is_dir():
+        assert _mode(path) == _mode(tmp_path / "ref")
+        assert {_mode(p) for p in path.iterdir()} == {_mode(tmp_path / "ref.txt")}
+    else:
+        assert _mode(path) == _mode(tmp_path / "ref.txt")

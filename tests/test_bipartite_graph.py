@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.bipartite import BipartiteGraph, LabelMap, build_labeled_graph
+
+from tests.conftest import bipartite_graphs
 
 
 class TestConstruction:
@@ -138,6 +142,130 @@ class TestSubgraphs:
         h = g.copy()
         assert h.num_edges == 1
         assert h is not g
+
+
+class TestEdgeLookup:
+    """``edge_id``/``has_edge`` against a brute-force ``(u, v)`` map."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bipartite_graphs(max_upper=8, max_lower=8, max_edges=40), st.data())
+    def test_matches_brute_force_map(self, graph, data):
+        expected = {pair: eid for eid, pair in enumerate(graph.edges())}
+        for pair, eid in expected.items():
+            assert graph.edge_id(*pair) == eid
+            assert graph.has_edge(*pair)
+        # Absent pairs, in range and out of range on either side (an
+        # out-of-range v must not alias the code of a real edge).
+        probes = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(-2, graph.num_upper + 2),
+                    st.integers(-2, graph.num_lower + 2),
+                ),
+                max_size=30,
+            )
+        )
+        for pair in probes:
+            if pair in expected:
+                assert graph.edge_id(*pair) == expected[pair]
+                continue
+            assert not graph.has_edge(*pair)
+            with pytest.raises(KeyError):
+                graph.edge_id(*pair)
+        graph.validate()
+
+    def test_out_of_range_lower_does_not_alias(self):
+        # (0, 3) would share the code 0 * 3 + 3 with edge (1, 0).
+        g = BipartiteGraph(2, 3, [(1, 0)])
+        assert g.edge_id(1, 0) == 0
+        assert not g.has_edge(0, 3)
+        assert not g.has_edge(1, -3)
+        with pytest.raises(KeyError):
+            g.edge_id(0, 3)
+
+    def test_numpy_scalars_accepted(self):
+        g = BipartiteGraph(2, 2, [(0, 1), (1, 0)])
+        assert g.edge_id(np.int64(1), np.int32(0)) == 1
+
+    def test_lookup_arrays_are_read_only(self):
+        g = BipartiteGraph(2, 2, [(0, 1), (1, 0)])
+        g.edge_id(0, 1)
+        for arr in g._lookup():
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_validate_audits_the_lookup(self):
+        g = BipartiteGraph(2, 2, [(0, 1), (1, 0), (1, 1)])
+        sorted_codes, order = g._lookup()
+        g._edge_lookup = (sorted_codes, order[::-1].copy())
+        with pytest.raises(AssertionError, match="edge lookup"):
+            g.validate()
+
+
+def _csr_args(graph):
+    return (
+        graph.num_upper,
+        graph.num_lower,
+        graph.edge_upper,
+        graph.edge_lower,
+        graph.csr_upper(),
+        graph.csr_lower(),
+    )
+
+
+class TestFromCsrChecks:
+    """Each ``_validate_arrays`` failure raises under ``check=True``."""
+
+    @pytest.fixture
+    def g(self):
+        return BipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 1), (2, 2)])
+
+    def test_valid_arrays_pass(self, g):
+        h = BipartiteGraph.from_csr(*_csr_args(g))
+        assert h.to_edge_list() == g.to_edge_list()
+        h.validate()
+
+    def test_duplicate_edge(self):
+        # A consistent array set that repeats (0, 1): only the code sort
+        # can catch it, every CSR check passes.
+        upper = np.array([0, 0])
+        lower = np.array([1, 1])
+        upper_csr = (np.array([0, 2]), np.array([1, 1]), np.array([0, 1]))
+        lower_csr = (np.array([0, 0, 2]), np.array([0, 0]), np.array([0, 1]))
+        with pytest.raises(AssertionError, match="duplicate edges"):
+            BipartiteGraph.from_csr(1, 2, upper, lower, upper_csr, lower_csr)
+        BipartiteGraph.from_csr(
+            1, 2, upper, lower, upper_csr, lower_csr, check=False
+        )
+
+    def test_repeated_csr_edge_id_at_right_length(self, g):
+        indptr, nbrs, eids = g.csr_upper()
+        repeated = eids.copy()
+        repeated[1] = repeated[0]
+        args = list(_csr_args(g))
+        args[4] = (indptr, nbrs, repeated)
+        with pytest.raises(AssertionError, match="upper CSR edge ids"):
+            BipartiteGraph.from_csr(*args)
+
+    def test_wrong_length_edge_id_array(self, g):
+        indptr, nbrs, eids = g.csr_lower()
+        args = list(_csr_args(g))
+        args[5] = (indptr, nbrs, np.concatenate((eids, eids[:1])))
+        with pytest.raises(AssertionError, match="lower CSR edge ids"):
+            BipartiteGraph.from_csr(*args)
+
+    def test_endpoint_out_of_range(self, g):
+        args = list(_csr_args(g))
+        args[3] = np.array([0, 1, 1, 3])
+        with pytest.raises(AssertionError, match="out of range"):
+            BipartiteGraph.from_csr(*args)
+
+    def test_csr_disagrees_with_endpoints(self, g):
+        indptr, nbrs, eids = g.csr_upper()
+        args = list(_csr_args(g))
+        args[4] = (indptr, nbrs[::-1].copy(), eids)
+        with pytest.raises(AssertionError, match="disagrees"):
+            BipartiteGraph.from_csr(*args)
 
 
 class TestValidation:

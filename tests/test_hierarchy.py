@@ -1,16 +1,164 @@
-"""Hierarchy correctness against brute-force k-bitruss extraction."""
+"""Hierarchy correctness against brute-force k-bitruss extraction.
+
+The array-native builder is also checked bitwise against
+:func:`union_find_hierarchy`, the per-edge union-find sweep it replaced,
+kept here as the oracle.
+"""
+
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.api import bitruss_decomposition
 from repro.core.bitruss import k_bitruss_direct
-from repro.datasets import load_dataset
+from repro.datasets import dataset_names, load_dataset
+from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import erdos_renyi_bipartite
 from repro.service.hierarchy import build_hierarchy
 
 from tests.conftest import bipartite_graphs
+
+
+class _UnionFind:
+    """Array-based union-find with path halving and union by size."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return ra
+
+
+def union_find_hierarchy(graph, phi) -> Dict[str, np.ndarray]:
+    """The per-edge union-find builder, as arrays keyed by attribute name.
+
+    A φ-descending sweep: union each level's edges, open one node per
+    component that gained edges (in order of its first level edge), hang
+    the swallowed components' nodes under it, then renumber in DFS
+    preorder (roots and children in creation order).
+    """
+    phi = np.array(phi, dtype=np.int64, copy=True)
+    m = graph.num_edges
+    n_l = graph.num_lower
+    edge_gu = (graph.edge_upper + n_l).tolist()
+    edge_gv = graph.edge_lower.tolist()
+
+    uf = _UnionFind(graph.num_vertices)
+    comp_node: Dict[int, int] = {}
+    levels: List[int] = []
+    parents: List[int] = []
+    edge_node = np.full(m, -1, dtype=np.int64)
+
+    order = np.argsort(phi, kind="stable")
+    sorted_phi = phi[order]
+    for k in np.unique(phi)[::-1].tolist():
+        lo = int(np.searchsorted(sorted_phi, k, side="left"))
+        hi = int(np.searchsorted(sorted_phi, k, side="right"))
+        level_eids = order[lo:hi].tolist()
+        pre_roots = set()
+        for eid in level_eids:
+            pre_roots.add(uf.find(edge_gu[eid]))
+            pre_roots.add(uf.find(edge_gv[eid]))
+        for eid in level_eids:
+            uf.union(edge_gu[eid], edge_gv[eid])
+        new_nodes: Dict[int, int] = {}
+        for eid in level_eids:
+            root = uf.find(edge_gu[eid])
+            node = new_nodes.get(root)
+            if node is None:
+                node = len(levels)
+                levels.append(k)
+                parents.append(-1)
+                new_nodes[root] = node
+            edge_node[eid] = node
+        for old_root in pre_roots:
+            old_node = comp_node.pop(old_root, None)
+            if old_node is not None:
+                parents[old_node] = new_nodes[uf.find(old_root)]
+        comp_node.update(new_nodes)
+
+    n_nodes = len(levels)
+    children: List[List[int]] = [[] for _ in range(n_nodes)]
+    roots: List[int] = []
+    for node, parent in enumerate(parents):
+        (children[parent] if parent >= 0 else roots).append(node)
+    new_id = np.empty(n_nodes, dtype=np.int64)
+    dfs_level = np.empty(n_nodes, dtype=np.int64)
+    dfs_parent = np.full(n_nodes, -1, dtype=np.int64)
+    subtree_end = np.empty(n_nodes, dtype=np.int64)
+    counter = 0
+    for root in roots:
+        stack: List[Tuple[int, int]] = [(root, 0)]
+        new_id[root] = counter
+        dfs_level[counter] = levels[root]
+        counter += 1
+        while stack:
+            node, cursor = stack[-1]
+            if cursor < len(children[node]):
+                stack[-1] = (node, cursor + 1)
+                child = children[node][cursor]
+                new_id[child] = counter
+                dfs_level[counter] = levels[child]
+                dfs_parent[counter] = new_id[node]
+                counter += 1
+                stack.append((child, 0))
+            else:
+                stack.pop()
+                subtree_end[new_id[node]] = counter
+    if n_nodes:
+        edge_node = new_id[edge_node]
+
+    node_edge_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    if m:
+        node_edges = np.argsort(edge_node, kind="stable").astype(np.int64)
+        np.cumsum(
+            np.bincount(edge_node, minlength=n_nodes), out=node_edge_ptr[1:]
+        )
+    else:
+        node_edges = np.empty(0, dtype=np.int64)
+    vertex_best = np.full(graph.num_vertices, -1, dtype=np.int64)
+    if m:
+        vertex_best[graph.edge_lower[order]] = order
+        vertex_best[graph.edge_upper[order] + n_l] = order
+    return {
+        "node_level": dfs_level,
+        "node_parent": dfs_parent,
+        "subtree_end": subtree_end,
+        "edge_node": edge_node,
+        "_node_edge_ptr": node_edge_ptr,
+        "_node_edges": node_edges,
+        "_vertex_best_edge": vertex_best,
+        "_phi_order": order,
+    }
+
+
+def assert_matches_oracle(graph, phi):
+    """Every hierarchy array equals the union-find builder's, bitwise."""
+    hierarchy = build_hierarchy(graph, phi)
+    hierarchy.validate()
+    for name, expected in union_find_hierarchy(graph, phi).items():
+        got = getattr(hierarchy, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), f"{name} differs"
+    return hierarchy
 
 
 def brute_force_component(graph, edge_ids, gid):
@@ -149,3 +297,111 @@ def test_level_sizes_match_result_hierarchy(figure4):
     result = bitruss_decomposition(figure4)
     hierarchy = build_hierarchy(figure4, result.phi)
     assert hierarchy.level_sizes() == result.hierarchy()
+
+
+# ------------------------------------------------ union-find oracle parity
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs(max_upper=8, max_lower=8, max_edges=30))
+def test_matches_union_find_oracle(graph):
+    assert_matches_oracle(
+        graph, bitruss_decomposition(graph, algorithm="bu-csr").phi
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matches_union_find_oracle_on_arbitrary_levels(data):
+    """The sweep only needs per-edge levels; any φ exercises more merges."""
+    graph = data.draw(bipartite_graphs(max_upper=9, max_lower=9, max_edges=40))
+    phi = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=4),
+            min_size=graph.num_edges,
+            max_size=graph.num_edges,
+        )
+    )
+    assert_matches_oracle(graph, np.asarray(phi, dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_dataset_matches_union_find_oracle(name):
+    graph = load_dataset(name)
+    phi = bitruss_decomposition(graph, algorithm="bit-bu-csr").phi
+    assert_matches_oracle(graph, phi)
+
+
+def _complete(a, b):
+    return BipartiteGraph(a, b, [(u, v) for u in range(a) for v in range(b)])
+
+
+@pytest.mark.parametrize(
+    "graph, phi",
+    [
+        pytest.param(BipartiteGraph(0, 0, []), [], id="empty-no-vertices"),
+        pytest.param(BipartiteGraph(2, 3, []), [], id="empty-isolated"),
+        pytest.param(BipartiteGraph(1, 1, [(0, 0)]), [0], id="single-edge"),
+        pytest.param(
+            BipartiteGraph(5, 5, [(0, 1), (1, 2), (2, 3), (4, 4)]),
+            [0, 0, 0, 0],
+            id="all-zero-two-components",
+        ),
+        pytest.param(
+            BipartiteGraph(1, 6, [(0, v) for v in range(6)]),
+            [0] * 6,
+            id="star",
+        ),
+        pytest.param(_complete(3, 4), None, id="K_3,4"),
+        pytest.param(
+            BipartiteGraph(6, 6, [(0, 0), (0, 1), (1, 0), (1, 1), (5, 5)]),
+            None,
+            id="isolated-vertices",
+        ),
+        pytest.param(
+            # Two disjoint butterflies settle at level 1, side by side.
+            BipartiteGraph(
+                4, 4,
+                [(0, 0), (0, 1), (1, 0), (1, 1),
+                 (2, 2), (2, 3), (3, 2), (3, 3)],
+            ),
+            None,
+            id="two-components-one-level",
+        ),
+        pytest.param(
+            # Three level-2 pairs joined by one level-1 hub edge each; the
+            # hub vertex's edges arrive out of component order.
+            BipartiteGraph(
+                4, 7,
+                [(0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (2, 5),
+                 (3, 5), (3, 1), (3, 3)],
+            ),
+            [2, 2, 2, 2, 2, 2, 1, 1, 1],
+            id="one-level-merges-three",
+        ),
+    ],
+)
+def test_degenerate_shapes_match_oracle(graph, phi):
+    if phi is None:
+        phi = bitruss_decomposition(graph, algorithm="bu-csr").phi
+    hierarchy = assert_matches_oracle(graph, np.asarray(phi, dtype=np.int64))
+    assert hierarchy.num_nodes == len(
+        {int(n) for n in hierarchy.edge_node.tolist()}
+    )
+
+
+def test_merge_of_three_components_links_all_under_one_node():
+    graph = BipartiteGraph(
+        4, 7,
+        [(0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (2, 5),
+         (3, 5), (3, 1), (3, 3)],
+    )
+    phi = np.array([2, 2, 2, 2, 2, 2, 1, 1, 1], dtype=np.int64)
+    hierarchy = assert_matches_oracle(graph, phi)
+    assert hierarchy.num_nodes == 4
+    root = int(hierarchy.roots()[0])
+    assert hierarchy.node_level[root] == 1
+    children = np.flatnonzero(hierarchy.node_parent == root)
+    assert len(children) == 3
+    assert set(hierarchy.node_level[children].tolist()) == {2}
+    assert hierarchy.subtree_end[root] == 4

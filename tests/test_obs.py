@@ -248,6 +248,23 @@ class TestPhases:
         assert [c["name"] for c in obs_phases.tree()["children"]] == ["bridged"]
         assert timer.elapsed("bridged") >= 0.0 and "bridged" in timer.phases()
 
+    def test_csr_engine_build_is_covered_by_its_phases(self):
+        from repro.core.api import bitruss_decomposition
+        from repro.graph.generators import erdos_renyi_bipartite
+
+        obs_phases.enable(True)
+        bitruss_decomposition(
+            erdos_renyi_bipartite(30, 25, 220, seed=99), algorithm="bit-bu-csr"
+        )
+        build = next(
+            c for c in obs_phases.tree()["children"]
+            if c["name"] == "index construction"
+        )
+        # The priority-sorted CSR is timed too, not left between phases.
+        assert [c["name"] for c in build["children"]] == [
+            "priority sort", "bloom discovery", "assemble",
+        ]
+
     def test_env_flag_enables_profiling(self):
         script = (
             "from repro.obs import phases; "

@@ -286,6 +286,20 @@ class TestSpanApi:
         names = [c["name"] for c in obs_phases.tree()["children"]]
         assert names == ["algo step"]  # no phase node for the plumbing span
 
+    def test_engine_times_every_hierarchy_rebuild(self):
+        from repro.service import QueryEngine
+
+        rec = obs_spans.get_recorder()
+        with obs_trace.trace_context("abc123"):
+            engine = QueryEngine(
+                build_artifact(paper_figure4_graph(), algorithm="bu-csr")
+            )
+            engine.refresh()
+            engine.patch(engine.graph, engine.phi)
+        names = [s.name for s in rec.finish_trace("abc123")]
+        # Construction, refresh and patch each rebuild under one span name.
+        assert names.count("hierarchy build") == 3
+
     def test_remote_child_parents_under_remote_span_id(self):
         rec = obs_spans.get_recorder()
         with obs_spans.remote_child("abc123", "feed0001"):
